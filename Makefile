@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race chaos bench-smoke bench-json bench-scale bench-remote bench-solver bench-sim bench-dist bench-fuzz
+.PHONY: check fmt vet build test race chaos bench-smoke bench-json bench-scale bench-remote bench-solver bench-sim bench-dist bench-fuzz bench-harness
 
 # Full gate: formatting, static checks, build, tests, race detector on
 # the concurrency-sensitive packages, chaos/recovery identity matrix.
@@ -99,3 +99,10 @@ bench-fuzz:
 # exploration workloads.
 bench-solver:
 	$(GO) run ./cmd/hsbench -json e13
+
+# bench-harness vets and tests the wall-clock benchmark in hsperf/. It
+# is a Go module of its own (it replaces hardsnap with ../), so the
+# root ./... targets above skip it; this catches an internal/ API
+# change that would break the benchmark build.
+bench-harness:
+	cd hsperf && $(GO) vet ./... && $(GO) test ./...

@@ -121,7 +121,7 @@ func (a *Analysis) FastForward(maxSteps uint64) (*FastForwardResult, error) {
 	}
 	res.PC = cpu.PC
 
-	st, err := a.Exec.StateFromConcrete(cpu.PC, cpu.Regs, cpu.Mem,
+	st, err := a.Exec.StateFromConcrete(cpu.PC, cpu.Regs, cpu.RAM(),
 		cpu.EPC, cpu.InHandler, cpu.PendingIRQs())
 	if err != nil {
 		return nil, err

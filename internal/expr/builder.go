@@ -223,7 +223,7 @@ func (b *Builder) UDiv(x, y *Term) *Term {
 		return x
 	}
 	// Strength-reduce division by a power of two to a logical shift.
-	if y.IsConst() && y.val&(y.val-1) == 0 {
+	if y.IsConst() && y.val != 0 && y.val&(y.val-1) == 0 {
 		return b.Lshr(x, b.Const(uint64(bits.TrailingZeros64(y.val)), x.Width()))
 	}
 	return b.binary(OpUDiv, x, y, x.width)

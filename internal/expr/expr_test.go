@@ -349,6 +349,25 @@ func TestSimplifierSoundness(t *testing.T) {
 	}
 }
 
+// TestDivRemByZero checks the SMT-LIB semantics survive the builder's
+// strength reductions when only the divisor is constant: x / 0 is
+// all-ones and x mod 0 is x, for every x.
+func TestDivRemByZero(t *testing.T) {
+	b := NewBuilder()
+	x := b.Var("x", 8)
+	zero := b.Const(0, 8)
+	div, rem := b.UDiv(x, zero), b.URem(x, zero)
+	for v := uint64(0); v < 256; v++ {
+		a := Assignment{"x": v}
+		if got := Eval(div, a); got != 0xFF {
+			t.Fatalf("%d / 0 = %#x, want 0xff (term %v)", v, got, div)
+		}
+		if got := Eval(rem, a); got != v {
+			t.Fatalf("%d mod 0 = %#x, want %#x (term %v)", v, got, v, rem)
+		}
+	}
+}
+
 // TestCanonicalizingRules checks the rewrite rules the solver's
 // preprocessing relies on. Hash-consing makes pointer equality the
 // proof that a rule fired: both sides must intern to the same node.

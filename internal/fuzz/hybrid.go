@@ -106,9 +106,23 @@ func (w *worker) concolicAttempt(s *branchSite) error {
 		w.cpu.SetMMIO(rec)
 		defer w.cpu.SetMMIO(w.router)
 	}
+	if w.symex == nil {
+		ex, err := symexec.New(symexec.Config{
+			VM:              w.cpu.Config(),
+			SolverConflicts: w.cfg.SolverConflicts,
+		}, w.cfg.Program, nil)
+		if err != nil {
+			return err
+		}
+		w.symex = ex
+	}
 	// The concolic start state mirrors the concrete machine right
 	// after reset, before any input is consumed.
-	pre := w.cpu.Snapshot()
+	cpu := w.cpu
+	st, err := w.symex.StateFromConcrete(cpu.PC, cpu.Regs, cpu.RAM(), cpu.EPC, cpu.InHandler, cpu.PendingIRQs())
+	if err != nil {
+		return err
+	}
 	if _, _, err := w.execOne(); err != nil {
 		return err
 	}
@@ -122,24 +136,10 @@ func (w *worker) concolicAttempt(s *branchSite) error {
 	}
 
 	// Step 2: concolic replay.
-	if w.symex == nil {
-		ex, err := symexec.New(symexec.Config{
-			VM:              w.cpu.Config(),
-			SolverConflicts: w.cfg.SolverConflicts,
-		}, w.cfg.Program, nil)
-		if err != nil {
-			return err
-		}
-		w.symex = ex
-	}
 	if rec != nil {
 		w.symex.SetMMIO(&mmioReplay{reads: rec.reads})
 	} else {
 		w.symex.SetMMIO(nil)
-	}
-	st, err := w.symex.StateFromConcrete(pre.PC, pre.Regs, pre.Mem, pre.EPC, pre.InHandler, pre.Pending)
-	if err != nil {
-		return err
 	}
 	res, err := w.symex.RunConcolic(st, symexec.ConcolicInput{Default: s.repr}, w.cfg.ConcolicMaxSteps)
 	if err != nil {

@@ -226,6 +226,25 @@ func TestDifferentialQuick(t *testing.T) {
 	}
 }
 
+// TestDifferentialUDivByZero pins a query TestDifferentialQuick once
+// found: the rewriter concretizes c to 0, and a builder that folded
+// x / 0 like a division by a power of two (to x instead of all-ones)
+// made the optimized solver answer sat where the plain one says unsat.
+func TestDifferentialUDivByZero(t *testing.T) {
+	b := expr.NewBuilder()
+	a, c := b.Var("a", 4), b.Var("c", 4)
+	k := func(v uint64) *expr.Term { return b.Const(v, 4) }
+	cs := []*expr.Term{
+		b.Eq(b.UDiv(b.Shl(a, k(1)), b.Shl(c, k(1))), b.UDiv(k(6), b.URem(k(9), c))),
+		b.Eq(c, k(0)),
+	}
+	opt := New(0)
+	opt.Builder = b
+	opt.Opts = DefaultOptions()
+	opt.Cache = NewCache(0)
+	diffOne(t, b, opt, cs)
+}
+
 // FuzzDifferential drives the generator with raw fuzz bytes: every
 // byte is one generator decision, so the fuzzer mutates constraint
 // structure directly rather than a PRNG seed.

@@ -104,9 +104,18 @@ type CPU struct {
 	InHandler  bool
 	IRQEnabled bool
 
-	Mem  []byte
+	// mem is the flat RAM. It is private so that every store goes
+	// through WriteMem and is seen by the dirty-page bitmap; RAM()
+	// exposes it read-only.
+	mem  []byte
 	cfg  Config
 	mmio MMIO
+
+	// anchor is the snapshot RAM was last restored to, or nil after a
+	// bulk write (Reset, Load). Invariant: when anchor is non-nil, mem
+	// differs from anchor.Mem only in pages whose bit is set in dirty.
+	anchor *Snapshot
+	dirty  []uint64 // one bit per pageSize page of mem
 
 	pending uint32 // bitmask of pending IRQ lines
 
@@ -130,8 +139,10 @@ type CPU struct {
 // be nil if the firmware never touches the MMIO window).
 func New(cfg Config, mmio MMIO) *CPU {
 	cfg.setDefaults()
+	pages := (uint64(cfg.RAMSize) + pageSize - 1) >> pageShift
 	return &CPU{
-		Mem:        make([]byte, cfg.RAMSize),
+		mem:        make([]byte, cfg.RAMSize),
+		dirty:      make([]uint64, (pages+63)/64),
 		cfg:        cfg,
 		mmio:       mmio,
 		IRQEnabled: true,
@@ -140,6 +151,11 @@ func New(cfg Config, mmio MMIO) *CPU {
 
 // Config returns the machine layout.
 func (c *CPU) Config() Config { return c.cfg }
+
+// RAM returns the live RAM image. It is read-only: a write through the
+// returned slice bypasses dirty-page tracking, and a later
+// RestoreSnapshot may then leave it in place. Store with WriteMem.
+func (c *CPU) RAM() []byte { return c.mem }
 
 // MMIODevice returns the bus the CPU currently forwards device
 // accesses to (nil if none is attached).
@@ -154,10 +170,11 @@ func (c *CPU) SetMMIO(m MMIO) { c.mmio = m }
 // Load copies an assembled program into RAM and points PC at its entry.
 func (c *CPU) Load(p *asm.Program) error {
 	off := int64(p.Base) - int64(c.cfg.RAMBase)
-	if off < 0 || off+int64(len(p.Code)) > int64(len(c.Mem)) {
+	if off < 0 || off+int64(len(p.Code)) > int64(len(c.mem)) {
 		return errors.New("vm: program does not fit in RAM")
 	}
-	copy(c.Mem[off:], p.Code)
+	copy(c.mem[off:], p.Code)
+	c.anchor = nil
 	c.PC = p.Entry
 	return nil
 }
@@ -165,9 +182,8 @@ func (c *CPU) Load(p *asm.Program) error {
 // Reset returns the CPU to its power-on state, clearing RAM,
 // registers and stop state. The MMIO device is not touched.
 func (c *CPU) Reset() {
-	for i := range c.Mem {
-		c.Mem[i] = 0
-	}
+	clear(c.mem)
+	c.anchor = nil
 	c.Regs = [isa.NumRegs]uint32{}
 	c.PC = 0
 	c.EPC = 0
@@ -207,7 +223,7 @@ func (c *CPU) ReadMem(addr uint32, size int) (uint32, error) {
 		off := addr - c.cfg.RAMBase
 		var v uint32
 		for i := 0; i < size; i++ {
-			v |= uint32(c.Mem[off+uint32(i)]) << (8 * uint(i))
+			v |= uint32(c.mem[off+uint32(i)]) << (8 * uint(i))
 		}
 		return v, nil
 	}
@@ -225,8 +241,14 @@ func (c *CPU) WriteMem(addr uint32, size int, val uint32) error {
 	if c.inRAM(addr, uint32(size)) {
 		off := addr - c.cfg.RAMBase
 		for i := 0; i < size; i++ {
-			c.Mem[off+uint32(i)] = byte(val >> (8 * uint(i)))
+			c.mem[off+uint32(i)] = byte(val >> (8 * uint(i)))
 		}
+		// Mark the first and the last byte's page: an unaligned store
+		// may straddle a page boundary.
+		p := off >> pageShift
+		c.dirty[p/64] |= 1 << (p % 64)
+		p = (off + uint32(size) - 1) >> pageShift
+		c.dirty[p/64] |= 1 << (p % 64)
 		return nil
 	}
 	if c.inMMIO(addr, uint32(size)) {

@@ -441,7 +441,9 @@ func TestSnapshotIsolation(t *testing.T) {
 		halt
 	`)
 	snap := cpu.Snapshot()
-	cpu.Mem[0x500] = 0xAA
+	if err := cpu.WriteMem(0x500, 1, 0xAA); err != nil {
+		t.Fatal(err)
+	}
 	if snap.Mem[0x500] == 0xAA {
 		t.Fatal("snapshot aliases live memory")
 	}
