@@ -343,6 +343,7 @@ _start:
 		b.Fatal(err)
 	}
 	st := e.InitialState()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := e.Step(st); err != nil {

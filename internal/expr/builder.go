@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
+	"sync/atomic"
 )
 
 // builderShards is the number of independently locked intern-table
@@ -12,6 +13,9 @@ import (
 // structurally equal terms intern to the same pointer.
 const builderShards = 16
 
+// constCacheBits sizes the lock-free constant cache (see Const).
+const constCacheBits = 11
+
 // Builder creates, deduplicates and simplifies terms. A Builder is
 // safe for concurrent use: the intern table is lock-striped by term
 // hash, so parallel exploration workers may share one Builder and rely
@@ -19,6 +23,11 @@ const builderShards = 16
 // property the shared solver cache is keyed on).
 type Builder struct {
 	shards [builderShards]internShard
+	// consts is a direct-mapped cache of interned constants, read
+	// without taking a shard lock. A slot only ever holds a term the
+	// intern table already returned, so a hit is pointer-identical to
+	// what interning would give; a collision merely evicts.
+	consts [1 << constCacheBits]atomic.Pointer[Term]
 	varMu  sync.Mutex
 	vars   map[string]*Term
 	// varSets memoizes, per interned term, the name-sorted set of
@@ -26,61 +35,75 @@ type Builder struct {
 	varSets sync.Map // map[*Term][]*Term
 }
 
+// internShard is one lock stripe of the intern table. Terms with equal
+// hashes are chained through Term.next, newest first; a published term
+// is never written again, so the chains need no further locking than
+// the shard mutex held while walking them.
 type internShard struct {
 	mu    sync.Mutex
-	table map[uint64][]*Term
+	table map[uint64]*Term
 }
 
 // NewBuilder returns an empty Builder.
 func NewBuilder() *Builder {
 	b := &Builder{vars: make(map[string]*Term)}
 	for i := range b.shards {
-		b.shards[i].table = make(map[uint64][]*Term)
+		b.shards[i].table = make(map[uint64]*Term)
 	}
 	return b
 }
 
-func (b *Builder) intern(t *Term) *Term {
-	h := t.computeHash()
-	t.hash = h
+// intern returns the unique term with the given fields. It hashes and
+// probes the table before building anything: a hit allocates nothing,
+// and a miss copies args, which the caller may keep on its stack.
+func (b *Builder) intern(op Op, w uint8, val uint64, name string, lo uint8, args ...*Term) *Term {
+	h := hashFields(op, w, val, name, lo, args)
 	s := &b.shards[h%builderShards]
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, c := range s.table[h] {
-		if c.equalShallow(t) {
+	head := s.table[h]
+	for c := head; c != nil; c = c.next {
+		if c.hasFields(op, w, val, name, lo, args) {
+			s.mu.Unlock()
 			return c
 		}
 	}
-	s.table[h] = append(s.table[h], t)
+	t := &Term{op: op, width: w, val: val, name: name, lo: lo, hash: h, next: head}
+	if len(args) > 0 {
+		t.args = append([]*Term(nil), args...)
+	}
+	s.table[h] = t
+	s.mu.Unlock()
 	return t
 }
 
-func (t *Term) computeHash() uint64 {
+// hashFields is the structural hash of a term with the given fields;
+// operands contribute their own (already computed) hashes.
+func hashFields(op Op, w uint8, val uint64, name string, lo uint8, args []*Term) uint64 {
 	h := uint64(14695981039346656037)
 	mix := func(v uint64) {
 		h ^= v
 		h *= 1099511628211
 	}
-	mix(uint64(t.op))
-	mix(uint64(t.width))
-	mix(t.val)
-	mix(uint64(t.lo))
-	for _, c := range t.name {
+	mix(uint64(op))
+	mix(uint64(w))
+	mix(val)
+	mix(uint64(lo))
+	for _, c := range name {
 		mix(uint64(c))
 	}
-	for _, a := range t.args {
+	for _, a := range args {
 		mix(a.hash)
 	}
 	return h
 }
 
-func (t *Term) equalShallow(u *Term) bool {
-	if t.op != u.op || t.width != u.width || t.val != u.val ||
-		t.name != u.name || t.lo != u.lo || len(t.args) != len(u.args) {
+func (t *Term) hasFields(op Op, w uint8, val uint64, name string, lo uint8, args []*Term) bool {
+	if t.op != op || t.width != w || t.val != val ||
+		t.name != name || t.lo != lo || len(t.args) != len(args) {
 		return false
 	}
-	for i := range t.args {
-		if t.args[i] != u.args[i] {
+	for i := range args {
+		if t.args[i] != args[i] {
 			return false
 		}
 	}
@@ -94,10 +117,18 @@ func checkWidth(w uint) uint8 {
 	return uint8(w)
 }
 
-// Const returns the w-bit constant v (masked to width).
+// Const returns the w-bit constant v (masked to width). A constant
+// already in the cache is returned without locking or allocating.
 func (b *Builder) Const(v uint64, w uint) *Term {
 	cw := checkWidth(w)
-	return b.intern(&Term{op: OpConst, width: cw, val: v & Mask(w)})
+	v &= Mask(w)
+	slot := &b.consts[((v^uint64(cw)<<56)*0x9E3779B97F4A7C15)>>(64-constCacheBits)]
+	if t := slot.Load(); t != nil && t.val == v && t.width == cw {
+		return t
+	}
+	t := b.intern(OpConst, cw, v, "", 0)
+	slot.Store(t)
+	return t
 }
 
 // Bool returns the width-1 constant for v.
@@ -124,7 +155,7 @@ func (b *Builder) Var(name string, w uint) *Term {
 	b.varMu.Unlock()
 	// Interning dedups, so two racing declarations of the same
 	// variable resolve to the same pointer before either publishes it.
-	v := b.intern(&Term{op: OpVar, width: cw, name: name})
+	v := b.intern(OpVar, cw, 0, name, 0)
 	b.varMu.Lock()
 	b.vars[name] = v
 	b.varMu.Unlock()
@@ -138,7 +169,7 @@ func sameWidth(x, y *Term) {
 }
 
 func (b *Builder) binary(op Op, x, y *Term, w uint8) *Term {
-	return b.intern(&Term{op: op, width: w, args: []*Term{x, y}})
+	return b.intern(op, w, 0, "", 0, x, y)
 }
 
 // Add returns x + y (modular).
@@ -346,7 +377,7 @@ func (b *Builder) Not(x *Term) *Term {
 			return b.Slt(x.args[1], x.args[0])
 		}
 	}
-	return b.intern(&Term{op: OpNot, width: x.width, args: []*Term{x}})
+	return b.intern(OpNot, x.width, 0, "", 0, x)
 }
 
 // Neg returns -x (two's complement).
@@ -357,7 +388,7 @@ func (b *Builder) Neg(x *Term) *Term {
 	if x.op == OpNeg {
 		return x.args[0]
 	}
-	return b.intern(&Term{op: OpNeg, width: x.width, args: []*Term{x}})
+	return b.intern(OpNeg, x.width, 0, "", 0, x)
 }
 
 // Shl returns x << y. Shift amounts >= width yield zero.
@@ -582,7 +613,7 @@ func (b *Builder) Concat(hi, lo *Term) *Term {
 	if hi.IsConst() && lo.IsConst() {
 		return b.Const(hi.val<<lo.Width()|lo.val, w)
 	}
-	return b.intern(&Term{op: OpConcat, width: cw, args: []*Term{hi, lo}})
+	return b.intern(OpConcat, cw, 0, "", 0, hi, lo)
 }
 
 // Extract returns bits [lo+w-1 : lo] of x as a w-bit term.
@@ -615,7 +646,7 @@ func (b *Builder) Extract(x *Term, lo, w uint) *Term {
 	if x.op == OpZExt && lo+w <= x.args[0].Width() {
 		return b.Extract(x.args[0], lo, w)
 	}
-	return b.intern(&Term{op: OpExtract, width: cw, lo: uint8(lo), args: []*Term{x}})
+	return b.intern(OpExtract, cw, 0, "", uint8(lo), x)
 }
 
 // ZExt zero-extends x to width w.
@@ -633,7 +664,7 @@ func (b *Builder) ZExt(x *Term, w uint) *Term {
 	if x.op == OpZExt {
 		return b.ZExt(x.args[0], w)
 	}
-	return b.intern(&Term{op: OpZExt, width: cw, args: []*Term{x}})
+	return b.intern(OpZExt, cw, 0, "", 0, x)
 }
 
 // SExt sign-extends x to width w.
@@ -648,7 +679,7 @@ func (b *Builder) SExt(x *Term, w uint) *Term {
 	if x.IsConst() {
 		return b.Const(SignExtend(x.val, x.Width()), w)
 	}
-	return b.intern(&Term{op: OpSExt, width: cw, args: []*Term{x}})
+	return b.intern(OpSExt, cw, 0, "", 0, x)
 }
 
 // Ite returns (if cond then x else y); cond must have width 1.
@@ -676,7 +707,7 @@ func (b *Builder) Ite(cond, x, y *Term) *Term {
 			return b.ZExt(b.Not(cond), x.Width())
 		}
 	}
-	return b.intern(&Term{op: OpIte, width: x.width, args: []*Term{cond, x, y}})
+	return b.intern(OpIte, x.width, 0, "", 0, cond, x, y)
 }
 
 // BoolToBV widens a width-1 term to w bits (0 or 1).
@@ -697,8 +728,10 @@ func (b *Builder) NumTerms() int {
 	for i := range b.shards {
 		s := &b.shards[i]
 		s.mu.Lock()
-		for _, bucket := range s.table {
-			n += len(bucket)
+		for _, head := range s.table {
+			for t := head; t != nil; t = t.next {
+				n++
+			}
 		}
 		s.mu.Unlock()
 	}

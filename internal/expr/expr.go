@@ -88,11 +88,12 @@ func (o Op) String() string {
 type Term struct {
 	op    Op
 	width uint8
+	lo    uint8  // extract low bit (OpExtract)
 	val   uint64 // constant value (OpConst) — always masked to width
 	name  string // variable name (OpVar)
-	lo    uint8  // extract low bit (OpExtract)
 	args  []*Term
 	hash  uint64
+	next  *Term // intern-table chain of terms with the same hash
 }
 
 // Op returns the term's operator.

@@ -232,6 +232,10 @@ func (s *Simulator) Peek(name string) (uint64, error) {
 	return s.state.Vals[sig.ID], nil
 }
 
+// PeekSignal reads a signal of the simulated design without a name
+// lookup; sig must come from Design().
+func (s *Simulator) PeekSignal(sig *rtl.Signal) uint64 { return s.state.Vals[sig.ID] }
+
 // Poke writes any signal by hierarchical name (full controllability).
 // Poking a non-register is transient: the next comb settle overwrites
 // it. The value is truncated to the signal's width (see SetInput).

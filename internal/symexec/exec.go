@@ -75,9 +75,11 @@ type Executor struct {
 	B      *expr.Builder
 	Solver *solver.Solver
 
-	cfg    Config
-	mmio   MMIOHandler
-	image  []byte
+	cfg  Config
+	mmio MMIOHandler
+	// image is the loaded program's memory. States clone it, so its
+	// pages are shared read-only by every state and spawned worker.
+	image  *Memory
 	prog   *asm.Program
 	nextID uint64
 	symSeq int
@@ -95,19 +97,19 @@ type Executor struct {
 // New builds an executor for a loaded program. mmio may be nil for
 // pure-software firmware.
 func New(cfg Config, prog *asm.Program, mmio MMIOHandler) (*Executor, error) {
-	cfg.VM = normalizeVMConfig(cfg.VM)
+	cfg.VM = cfg.VM.WithDefaults()
 	if cfg.Policy == 0 {
 		cfg.Policy = ConcretizeOne
 	}
 	if cfg.MaxValues <= 0 {
 		cfg.MaxValues = 8
 	}
-	image := make([]byte, cfg.VM.RAMSize)
 	off := int64(prog.Base) - int64(cfg.VM.RAMBase)
-	if off < 0 || off+int64(len(prog.Code)) > int64(len(image)) {
+	if off < 0 || off+int64(len(prog.Code)) > int64(cfg.VM.RAMSize) {
 		return nil, fmt.Errorf("symexec: program does not fit in RAM")
 	}
-	copy(image[off:], prog.Code)
+	image := newMemory(cfg.VM.RAMBase, cfg.VM.RAMSize)
+	image.load(uint32(off), prog.Code)
 	e := &Executor{
 		B:      expr.NewBuilder(),
 		Solver: solver.New(cfg.SolverConflicts),
@@ -121,11 +123,6 @@ func New(cfg Config, prog *asm.Program, mmio MMIOHandler) (*Executor, error) {
 		e.Solver.Opts = solver.DefaultOptions()
 	}
 	return e, nil
-}
-
-func normalizeVMConfig(c vm.Config) vm.Config {
-	probe := vm.New(c, nil)
-	return probe.Config()
 }
 
 // Config returns the executor's normalized configuration.
@@ -208,7 +205,7 @@ func (e *Executor) InitialState() *State {
 	st := &State{
 		ID:     e.nextID,
 		PC:     e.prog.Entry,
-		Mem:    NewMemory(e.cfg.VM.RAMBase, e.image),
+		Mem:    e.image.Clone(),
 		Status: StatusRunning,
 	}
 	zero := e.B.Const(0, 32)
@@ -220,20 +217,18 @@ func (e *Executor) InitialState() *State {
 
 // StateFromConcrete builds a symbolic state mirroring a concrete
 // machine (the fast-forwarding hand-off): registers become constant
-// terms and the RAM image becomes the new concrete backing. The mem
-// slice is copied.
+// terms and the RAM image becomes the state's memory. The non-zero
+// pages of mem are copied.
 func (e *Executor) StateFromConcrete(pc uint32, regs [isa.NumRegs]uint32, mem []byte,
 	epc uint32, inHandler bool, pending uint32) (*State, error) {
 	if uint32(len(mem)) != e.cfg.VM.RAMSize {
 		return nil, fmt.Errorf("symexec: concrete RAM size %d != configured %d", len(mem), e.cfg.VM.RAMSize)
 	}
-	image := make([]byte, len(mem))
-	copy(image, mem)
 	e.nextID++
 	st := &State{
 		ID:         e.nextID,
 		PC:         pc,
-		Mem:        NewMemory(e.cfg.VM.RAMBase, image),
+		Mem:        NewMemory(e.cfg.VM.RAMBase, mem),
 		Status:     StatusRunning,
 		EPC:        epc,
 		InHandler:  inHandler,
@@ -345,7 +340,7 @@ func (e *Executor) fault(st *State, format string, args ...any) {
 // inMMIO reports whether the address window belongs to hardware.
 func (e *Executor) inMMIO(addr uint32, size uint32) bool {
 	c := e.cfg.VM
-	return addr >= c.MMIOBase && addr-c.MMIOBase+size <= c.MMIOSize
+	return addr >= c.MMIOBase && uint64(addr-c.MMIOBase)+uint64(size) <= uint64(c.MMIOSize)
 }
 
 // ServePendingInterrupt dispatches one pending IRQ if the state can
@@ -360,7 +355,7 @@ func (e *Executor) ServePendingInterrupt(st *State) error {
 			continue
 		}
 		st.IRQPending &^= 1 << uint(n)
-		handler, err := st.Mem.ConcreteWord(e.B, e.cfg.VM.VectorBase+uint32(4*n))
+		handler, err := st.Mem.ConcreteWord(e.cfg.VM.VectorBase + uint32(4*n))
 		if err != nil {
 			return err
 		}
@@ -383,7 +378,7 @@ func (e *Executor) Step(st *State) ([]*State, error) {
 	if st.Status != StatusRunning {
 		return nil, nil
 	}
-	word, err := st.Mem.ConcreteWord(e.B, st.PC)
+	word, err := st.Mem.ConcreteWord(st.PC)
 	if err != nil {
 		st.Status = StatusFault
 		st.Err = err

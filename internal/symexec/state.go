@@ -1,18 +1,15 @@
 // Package symexec implements the selective symbolic executor for HS32
 // firmware: the software half of HardSnap's virtual machine. It is a
 // KLEE-style forking interpreter — each state carries a symbolic
-// register file, a copy-on-write symbolic memory overlay and a path
+// register file, a copy-on-write paged symbolic memory and a path
 // condition — extended, as in the paper, with a hardware snapshot
 // identifier per state and a concretization policy at the
 // hardware/software boundary.
 package symexec
 
 import (
-	"fmt"
-
 	"hardsnap/internal/expr"
 	"hardsnap/internal/isa"
-	"hardsnap/internal/vm"
 )
 
 // Status describes where a state's execution stands.
@@ -72,7 +69,7 @@ type State struct {
 	PC   uint32
 	Regs [isa.NumRegs]*expr.Term
 
-	// Mem is the symbolic memory overlay over the concrete image.
+	// Mem is the state's symbolic memory.
 	Mem *Memory
 
 	// Constraints is the path condition (conjunction of width-1
@@ -157,104 +154,4 @@ func (st *State) Clone() *State {
 // AddConstraint conjoins a path constraint.
 func (st *State) AddConstraint(c *expr.Term) {
 	st.Constraints = append(st.Constraints, c)
-}
-
-// Memory is a two-level symbolic memory: a shared concrete backing
-// image (the loaded firmware, never mutated) plus a per-state overlay
-// of symbolic or written bytes. Forking copies only the overlay.
-type Memory struct {
-	base    uint32
-	backing []byte // shared, read-only
-	overlay map[uint32]*expr.Term
-}
-
-// NewMemory wraps a concrete RAM image.
-func NewMemory(base uint32, image []byte) *Memory {
-	return &Memory{
-		base:    base,
-		backing: image,
-		overlay: make(map[uint32]*expr.Term),
-	}
-}
-
-// Clone copies the overlay (the backing is shared).
-func (m *Memory) Clone() *Memory {
-	o := make(map[uint32]*expr.Term, len(m.overlay))
-	for k, v := range m.overlay {
-		o[k] = v
-	}
-	return &Memory{base: m.base, backing: m.backing, overlay: o}
-}
-
-// InRange reports whether [addr, addr+size) lies inside RAM.
-func (m *Memory) InRange(addr uint32, size uint32) bool {
-	return addr >= m.base && addr-m.base+size <= uint32(len(m.backing))
-}
-
-// OverlaySize returns the number of overlaid bytes (diagnostics).
-func (m *Memory) OverlaySize() int { return len(m.overlay) }
-
-// LoadByte returns the 8-bit term at addr.
-func (m *Memory) LoadByte(b *expr.Builder, addr uint32) (*expr.Term, error) {
-	if !m.InRange(addr, 1) {
-		return nil, &vm.FaultError{Addr: addr, Msg: "symbolic load outside RAM"}
-	}
-	if t, ok := m.overlay[addr]; ok {
-		return t, nil
-	}
-	return b.Const(uint64(m.backing[addr-m.base]), 8), nil
-}
-
-// StoreByte stores an 8-bit term at addr.
-func (m *Memory) StoreByte(addr uint32, t *expr.Term) error {
-	if !m.InRange(addr, 1) {
-		return &vm.FaultError{Addr: addr, Msg: "symbolic store outside RAM"}
-	}
-	if t.Width() != 8 {
-		return fmt.Errorf("symexec: StoreByte with width %d", t.Width())
-	}
-	m.overlay[addr] = t
-	return nil
-}
-
-// Read composes a little-endian value of size bytes (1, 2 or 4).
-func (m *Memory) Read(b *expr.Builder, addr uint32, size int) (*expr.Term, error) {
-	var out *expr.Term
-	for i := size - 1; i >= 0; i-- {
-		byteT, err := m.LoadByte(b, addr+uint32(i))
-		if err != nil {
-			return nil, err
-		}
-		if out == nil {
-			out = byteT
-		} else {
-			out = b.Concat(out, byteT)
-		}
-	}
-	return out, nil
-}
-
-// Write decomposes a value into little-endian bytes.
-func (m *Memory) Write(b *expr.Builder, addr uint32, size int, t *expr.Term) error {
-	for i := 0; i < size; i++ {
-		byteT := b.Extract(t, uint(8*i), 8)
-		if err := m.StoreByte(addr+uint32(i), byteT); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ConcreteWord reads a 32-bit word that must be fully concrete (used
-// for instruction fetch and vector table loads).
-func (m *Memory) ConcreteWord(b *expr.Builder, addr uint32) (uint32, error) {
-	t, err := m.Read(b, addr, 4)
-	if err != nil {
-		return 0, err
-	}
-	v, ok := t.Const()
-	if !ok {
-		return 0, &vm.FaultError{Addr: addr, Msg: "fetch of symbolic memory"}
-	}
-	return uint32(v), nil
 }

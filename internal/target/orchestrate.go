@@ -73,13 +73,14 @@ func (t *Target) failover(op string, cause error) error {
 	t.faults = nil // the dead link goes with the old backend
 
 	// Adopt the standby's execution vehicle. Ports stay valid: they
-	// resolve peripheral instances through the Target on every
-	// operation.
+	// resolve peripheral instances through the Target, and bumping
+	// backend drops the instances they cached.
 	t.kind = sb.kind
 	t.costs = sb.costs
 	t.scan = sb.scan
 	t.periphs = sb.periphs
 	t.order = sb.order
+	t.backend++
 	t.powerOn = sb.powerOn
 
 	// Re-arm assertions on the adopted backend (now a simulator, so

@@ -151,6 +151,9 @@ type periphInst struct {
 	// conservatively assumed wired). Remote clients use it to answer
 	// IRQ polls for constant-low lines without a round trip.
 	irqWired bool
+	// irq is the design's interrupt output, resolved once at build;
+	// nil when the design has none (sampling it then faults).
+	irq *rtl.Signal
 	// layout maps scan-chain bit positions to named state (scan-mode
 	// FPGA only).
 	layout  []scanchain.BitRef
@@ -195,6 +198,9 @@ type Target struct {
 	lastGood    State
 	powerOn     State
 	dead        bool
+	// backend counts failovers: ports cache peripheral instances of
+	// the backend they last saw and re-resolve when it changes.
+	backend uint64
 }
 
 // NewSimulator builds a simulator target hosting the peripherals:
@@ -284,6 +290,7 @@ func buildPeriph(cfg PeriphConfig, instrument bool) (*periphInst, error) {
 		return nil, err
 	}
 	inst := &periphInst{cfg: cfg, design: d, sim: s, irqWired: irqWired}
+	inst.irq, _ = d.SignalByName(bus.SigIRQ)
 	// Power-on reset pulse: registers with non-zero reset values
 	// (baud divisors, state machines) come up initialized, exactly
 	// like the physical platform asserting its reset line at boot.
@@ -399,24 +406,43 @@ func (t *Target) InjectFaults(s FaultSchedule) {
 func (t *Target) SetRetryPolicy(p RetryPolicy) { t.retry = p }
 
 // port is a handle bound to the target by instance name, so it stays
-// valid across a backend failover.
+// valid across a backend failover. It caches the instance it resolved
+// on the backend it was created on (or last saw), which lets the
+// per-instruction IRQ poll skip the name lookups.
 type port struct {
-	t    *Target
-	name string
+	t       *Target
+	name    string
+	inst    *periphInst
+	backend uint64
 }
 
 var _ bus.Port = (*port)(nil)
 
 func (p *port) ReadReg(offset uint32) (uint32, error)  { return p.t.readReg(p.name, offset) }
 func (p *port) WriteReg(offset uint32, v uint32) error { return p.t.writeReg(p.name, offset, v) }
-func (p *port) IRQLevel() (bool, error)                { return p.t.irqLevel(p.name) }
+
+// IRQLevel samples the interrupt line. On a fast link it reads the
+// cached instance's line directly; otherwise it takes the link path
+// (fault injection, retries, failover) by name.
+func (p *port) IRQLevel() (bool, error) {
+	t := p.t
+	if !t.fastLink() {
+		return t.irqLevel(p.name)
+	}
+	if p.backend != t.backend {
+		// A standby hosts the same instance names (SetStandby).
+		p.inst, p.backend = t.periphs[p.name], t.backend
+	}
+	return p.inst.irqLevel()
+}
 
 // Port returns the register port of a hosted peripheral.
 func (t *Target) Port(name string) (bus.Port, error) {
-	if _, ok := t.periphs[name]; !ok {
+	inst, ok := t.periphs[name]
+	if !ok {
 		return nil, fmt.Errorf("target %s: no peripheral %q", t.name, name)
 	}
-	return &port{t: t, name: name}, nil
+	return &port{t: t, name: name, inst: inst, backend: t.backend}, nil
 }
 
 // linkOp runs one link transaction with fault injection, bounded
@@ -563,11 +589,15 @@ func (t *Target) execIRQLevel(name string) (bool, error) {
 	if !ok {
 		return false, fatalf("irq", "no peripheral %q", name)
 	}
-	v, err := inst.sim.Peek(bus.SigIRQ)
-	if err != nil {
-		return false, fatalf("irq "+name, "%v", err)
+	return inst.irqLevel()
+}
+
+// irqLevel reads the instance's interrupt output.
+func (inst *periphInst) irqLevel() (bool, error) {
+	if inst.irq == nil {
+		return false, fatalf("irq "+inst.cfg.Name, "sim: no signal named %q", bus.SigIRQ)
 	}
-	return v != 0, nil
+	return inst.sim.PeekSignal(inst.irq) != 0, nil
 }
 
 // HasAssertions reports whether any hardware assertion is registered.

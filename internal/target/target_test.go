@@ -310,6 +310,43 @@ func TestFailoverToStandby(t *testing.T) {
 	}
 }
 
+// TestPortIRQFollowsFailover checks that a port's IRQ poll, which
+// caches the peripheral instance it samples, reads the adopted
+// backend's line after a failover rather than the dead vehicle's.
+func TestPortIRQFollowsFailover(t *testing.T) {
+	clock := &vtime.Clock{}
+	timer := PeriphConfig{Name: "timer0", Periph: "timer"}
+	fp := newFPGA(t, clock, false, timer)
+	sb := newSim(t, clock, timer)
+	if err := fp.SetStandby(sb); err != nil {
+		t.Fatal(err)
+	}
+	p, _ := fp.Port("timer0")
+	if err := p.WriteReg(0x00, 10); err != nil { // LOAD
+		t.Fatal(err)
+	}
+	fp.InjectFaults(FaultSchedule{Seed: 1, FailAfter: 1})
+	if err := p.WriteReg(0x08, 0x3); err != nil { // enable + irq_en
+		t.Fatal(err)
+	}
+	// Exhausts retries and fails over; the standby replays both writes.
+	if err := p.WriteReg(0x00, 10); err != nil {
+		t.Fatalf("write across failover: %v", err)
+	}
+	if fp.Stats().Failovers != 1 {
+		t.Fatalf("failovers %d, want 1", fp.Stats().Failovers)
+	}
+	if level, err := p.IRQLevel(); err != nil || level {
+		t.Fatalf("irq before expiry: %v, %v", level, err)
+	}
+	if err := fp.Advance(12); err != nil {
+		t.Fatal(err)
+	}
+	if level, err := p.IRQLevel(); err != nil || !level {
+		t.Fatalf("irq after expiry on the adopted backend: %v, %v", level, err)
+	}
+}
+
 func TestPersistentFailureWithoutStandby(t *testing.T) {
 	clock := &vtime.Clock{}
 	fp := newFPGA(t, clock, false)

@@ -76,7 +76,9 @@ type Config struct {
 	NumIRQs int
 }
 
-func (c *Config) setDefaults() {
+// WithDefaults returns c with every zero field replaced by its
+// default: the layout New gives a CPU built from c.
+func (c Config) WithDefaults() Config {
 	if c.RAMSize == 0 {
 		c.RAMSize = 1 << 20
 	}
@@ -92,6 +94,7 @@ func (c *Config) setDefaults() {
 	if c.NumIRQs == 0 {
 		c.NumIRQs = 8
 	}
+	return c
 }
 
 // CPU is a concrete HS32 machine instance.
@@ -138,7 +141,7 @@ type CPU struct {
 // New creates a CPU with the given layout and MMIO handler (which may
 // be nil if the firmware never touches the MMIO window).
 func New(cfg Config, mmio MMIO) *CPU {
-	cfg.setDefaults()
+	cfg = cfg.WithDefaults()
 	pages := (uint64(cfg.RAMSize) + pageSize - 1) >> pageShift
 	return &CPU{
 		mem:        make([]byte, cfg.RAMSize),
@@ -209,12 +212,14 @@ func (c *CPU) PendingIRQs() uint32 { return c.pending }
 // SetPendingIRQs restores the pending bitmask (for snapshotting).
 func (c *CPU) SetPendingIRQs(v uint32) { c.pending = v }
 
+// inRAM and inMMIO sum in 64 bits: an access at the top of the
+// address space must not wrap back into the window.
 func (c *CPU) inRAM(addr uint32, size uint32) bool {
-	return addr >= c.cfg.RAMBase && addr-c.cfg.RAMBase+size <= c.cfg.RAMSize
+	return addr >= c.cfg.RAMBase && uint64(addr-c.cfg.RAMBase)+uint64(size) <= uint64(c.cfg.RAMSize)
 }
 
 func (c *CPU) inMMIO(addr uint32, size uint32) bool {
-	return addr >= c.cfg.MMIOBase && addr-c.cfg.MMIOBase+size <= c.cfg.MMIOSize
+	return addr >= c.cfg.MMIOBase && uint64(addr-c.cfg.MMIOBase)+uint64(size) <= uint64(c.cfg.MMIOSize)
 }
 
 // ReadMem performs a data load of size bytes (1, 2 or 4).

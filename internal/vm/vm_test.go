@@ -448,3 +448,20 @@ func TestSnapshotIsolation(t *testing.T) {
 		t.Fatal("snapshot aliases live memory")
 	}
 }
+
+// TestTopOfAddressSpaceFaults: an access whose end wraps past 2^32
+// back into RAM is outside RAM, not an index past the end of it.
+func TestTopOfAddressSpaceFaults(t *testing.T) {
+	for _, src := range []string{
+		"lb r2, -1(r0)",
+		"lw r2, -2(r0)",
+		"sw r2, -1(r0)",
+		"jalr r0, r1, -4",
+	} {
+		cpu := run(t, src)
+		var fe *FaultError
+		if cpu.Stop != StopFault || !errors.As(cpu.Fault, &fe) {
+			t.Fatalf("%s: stop %v, fault %v", src, cpu.Stop, cpu.Fault)
+		}
+	}
+}
